@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from ..data.dataset import IncompleteDataset
@@ -137,12 +136,6 @@ class GAINImputer(GenerativeImputer):
         if self._generator is None:
             raise RuntimeError("call build() or fit() first")
         return self._generator
-
-    @property
-    def discriminator(self) -> Module:
-        if self._discriminator is None:
-            raise RuntimeError("call build() or fit() first")
-        return self._discriminator
 
     def build(self, n_features: int, rng: Optional[np.random.Generator] = None) -> None:
         if rng is not None:
@@ -266,6 +259,8 @@ def knn_graph_adjacency(
     rows in Euclidean distance) and returns
     ``Â = D^{-1/2} (A + I) D^{-1/2}`` as a dense matrix for the GCN.
     """
+    import networkx as nx  # here, so that only GINN pays for the import
+
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
     sq = (features**2).sum(axis=1)

@@ -1,5 +1,5 @@
-"""Optimal-transport toolkit: exact OT, Sinkhorn (loop and batched),
-masking Sinkhorn divergence."""
+"""Optimal-transport toolkit: Sinkhorn (loop and batched), masking Sinkhorn
+divergence."""
 
 from .batched import BatchedSinkhornResult, sinkhorn_batched
 from .cost import (
@@ -14,7 +14,6 @@ from .divergence import (
     masking_sinkhorn_divergence,
     sinkhorn_divergence,
 )
-from .exact import exact_ot
 from .sinkhorn import (
     SinkhornConfig,
     SinkhornResult,
@@ -28,7 +27,6 @@ __all__ = [
     "masked_cost_matrix",
     "squared_euclidean_cost_tensor",
     "masked_cost_matrix_tensor",
-    "exact_ot",
     "sinkhorn",
     "sinkhorn_batched",
     "SinkhornConfig",

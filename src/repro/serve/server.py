@@ -60,7 +60,7 @@ from ..obs import get_recorder
 from ..obs.live import prometheus_exposition
 from ..obs.tracing import TraceContext, record_span, start_trace
 from ..parallel import ExecutionContext
-from .registry import LoadedModel, ModelRegistry, RegistryError, schema_fingerprint
+from .registry import LoadedModel, ModelRegistry, RegistryError
 
 __all__ = [
     "ServeConfig",
@@ -750,14 +750,3 @@ def serve_jsonl(
             }
         )
     return stats
-
-
-def check_request_schema(
-    server: ImputationServer, key: str, dataset: IncompleteDataset
-) -> None:
-    """Convenience pre-flight: schema-check a dataset against an entry."""
-    loaded = server._get_model(key)
-    if schema_fingerprint(dataset) != loaded.entry.schema_fp:
-        raise RegistryError(
-            f"schema mismatch for registry entry {key!r}", key=key
-        )

@@ -1,8 +1,10 @@
-"""Exact (unregularised) optimal transport via linear programming.
+"""Test oracles: reference answers the program itself never computes.
 
-Used as ground truth in the test suite: as the entropic regulariser
-``λ → 0`` the Sinkhorn value must converge to this LP value.  Only suitable
-for small problems (the LP has ``n·m`` variables).
+:func:`exact_ot` is exact (unregularised) optimal transport via linear
+programming: as the entropic regulariser ``λ → 0`` the Sinkhorn value must
+converge to this LP value.  Only suitable for small problems (the LP has
+``n·m`` variables).  It needs scipy, a ``dev`` dependency; the runtime
+package does not import it.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ from repro.ot import (
     MaskingSinkhornLoss,
     SinkhornConfig,
     entropy,
-    exact_ot,
     masked_cost_matrix,
     masked_cost_matrix_tensor,
     masking_sinkhorn_divergence,
@@ -18,6 +17,8 @@ from repro.ot import (
     squared_euclidean_cost_tensor,
 )
 from repro.tensor import Tensor, check_gradients
+
+from .oracles import exact_ot
 
 
 @pytest.fixture

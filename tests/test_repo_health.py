@@ -1,8 +1,12 @@
 """Repository health: exports resolve, docs reference real artefacts."""
 
+import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -380,3 +384,43 @@ class TestRegistryConsistency:
         parser = build_parser()
         args = parser.parse_args(["impute", "a.csv", "b.csv", "--method", "gain"])
         assert args.method in REGISTRY
+
+
+class TestLeanRuntime:
+    """The runtime import path loads neither scipy nor networkx.
+
+    scipy serves only the test oracle ``tests/oracles.py``; networkx is
+    imported inside GINN's graph builder.  Every CLI call, perf workload
+    and fork worker would otherwise start with both in memory.
+    """
+
+    def _perf_imports(self):
+        names = set()
+        for script in ("jobs.py", "tracer.py"):
+            tree = ast.parse((REPO_ROOT / "perf" / script).read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    names.add(node.module)
+                elif isinstance(node, ast.Import):
+                    names.update(alias.name for alias in node.names)
+        return sorted(name for name in names if name.split(".")[0] == "repro")
+
+    def test_runtime_imports_load_neither_scipy_nor_networkx(self):
+        perf_modules = self._perf_imports()
+        assert "repro.core.scis" in perf_modules  # the parse found perf's imports
+        code = (
+            "import importlib, sys\n"
+            f"for name in {['repro', 'repro.cli', *perf_modules]!r}:\n"
+            "    importlib.import_module(name)\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'networkx'}))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        ))
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]", f"runtime imports load {result.stdout.strip()}"

@@ -171,6 +171,38 @@ class TestServing:
         assert len(evictions) >= 2
         assert evictions[0]["fields"]["key"] == gain_key
 
+    def test_reload_picks_up_same_key_reregistration(self, served):
+        registry, dataset, gain_key, _ = served
+        row = dataset.values[np.isnan(dataset.values).any(axis=1)][0].copy()
+        loads = []
+        load = registry.load
+        registry.load = lambda key: loads.append(key) or load(key)
+        server = _server(registry).start()
+        try:
+            before = server.impute_rows(gain_key, row, timeout=60)
+            # Same constructor config and schema but fewer training rows:
+            # the same key now names different weights.
+            normalizer = MinMaxNormalizer()
+            normalized = normalizer.fit_transform(dataset)
+            retrained = GAINImputer(epochs=2, seed=0).fit(normalized.take(list(range(30))))
+            entry = registry.save(retrained, dataset=dataset, normalizer=normalizer)
+            assert entry.key == gain_key
+            stale = server.impute_rows(gain_key, row, timeout=60)
+            server.reload()
+            after = server.impute_rows(gain_key, row, timeout=60)
+        finally:
+            server.shutdown()
+        assert loads == [gain_key, gain_key]  # first use, then after reload()
+        assert before.ok and stale.ok and after.ok
+        np.testing.assert_array_equal(stale.values, before.values)
+        assert not np.array_equal(after.values, before.values)
+        fresh = _server(ModelRegistry(registry.root)).start()
+        try:
+            expected = fresh.impute_rows(gain_key, row, timeout=60)
+        finally:
+            fresh.shutdown()
+        np.testing.assert_array_equal(after.values, expected.values)
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_batch_requests"):
             ServeConfig(max_batch_requests=0)
